@@ -8,10 +8,19 @@ tile to the adapter that owns its tokens.  The frozen base GEMM is shared by
 all tokens; the adapter-specific low-rank math (with per-adapter rank,
 scaling, and dropout) is applied per tile.
 
-The numpy implementation below literally iterates M-tiles and routes
-per-tile adapter weights, mirroring the Triton kernel's structure.  It is
-validated against per-adapter :mod:`repro.core.fused` calls: outputs and
-gradients must match exactly.
+The numpy implementation keeps that split.  The base products
+``Y = X W`` and ``dX = dY W^T`` are one GEMM over all ``M`` rows, padding
+rows included.  The adapter math is routed by the lookup table: its maximal
+runs of consecutive same-adapter tiles (:attr:`MultiLoRABatch.runs`) each
+get one slab of low-rank GEMMs with that adapter's ``A``, ``B``, ``alpha``
+and dropout rate, and padding runs get none.  This is the per-tile kernel
+with adjacent tiles stacked: every output row depends only on its own input
+row and its owning adapter, and each adapter's ``dA``/``dB`` is a sum over
+its rows, which a slab GEMM computes in one call (summed in a different
+float order than tile by tile).  Dropout masks are drawn per run, which a
+numpy ``Generator`` fills with the same values as the per-tile draws it
+concatenates.  The kernels are validated against per-adapter
+:mod:`repro.core.fused` calls.
 
 Alignment rule: a tile must never straddle two adapters, so every segment
 length must be a multiple of ``block_m``.  The scheduler guarantees this via
@@ -92,33 +101,41 @@ class MultiLoRABatch:
         segments: Token segments in layout order (block-aligned).
         block_m: Tile height used for routing.
         tile_table: Lookup table from :func:`build_tile_table`.
+        runs: Row ranges ``(adapter_id, start, end)`` of the table's maximal
+            runs of consecutive same-adapter tiles, padding runs excluded.
+        adapter_ids: Distinct real adapter ids present, in first-appearance
+            order.
     """
 
     segments: list[Segment]
     block_m: int = 64
     tile_table: np.ndarray = field(init=False)
+    runs: list[tuple[int, int, int]] = field(init=False)
+    adapter_ids: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.tile_table = build_tile_table(self.segments, self.block_m)
+        table = build_tile_table(self.segments, self.block_m)
+        self.tile_table = table
+        # A run starts at every tile whose owner differs from its
+        # predecessor's; the first tile always starts one.
+        starts = np.flatnonzero(np.diff(table, prepend=table[:1] - 1)).tolist()
+        ends = [*starts[1:], len(table)]
+        self.runs = [
+            (adapter_id, start * self.block_m, end * self.block_m)
+            for adapter_id, start, end in zip(table[starts].tolist(), starts, ends)
+            if adapter_id != PAD_ADAPTER_ID
+        ]
+        self.adapter_ids = list(dict.fromkeys(run[0] for run in self.runs))
 
     @property
     def total_tokens(self) -> int:
         """Total (padded) token rows in the microbatch."""
-        return sum(seg.length for seg in self.segments)
+        return self.num_tiles * self.block_m
 
     @property
     def num_tiles(self) -> int:
         """Number of M-tiles."""
         return len(self.tile_table)
-
-    @property
-    def adapter_ids(self) -> list[int]:
-        """Distinct real adapter ids present, in first-appearance order."""
-        seen: list[int] = []
-        for seg in self.segments:
-            if seg.adapter_id != PAD_ADAPTER_ID and seg.adapter_id not in seen:
-                seen.append(seg.adapter_id)
-        return seen
 
     def tile_bounds(self, tile: int) -> tuple[int, int]:
         """Row range ``[start, end)`` of tile ``tile``."""
@@ -218,17 +235,17 @@ def fused_multi_lora_forward(
 ) -> tuple[np.ndarray, MultiLoRAContext]:
     """FusedMultiLoRA forward pass with tile-level adapter routing.
 
-    Per M-tile, the kernel looks up the owning adapter, applies that
-    adapter's dropout, down-projects with its ``A``, and fuses the base GEMM
-    with its scaled up-projection -- exactly kernels 1-2 of Figure 10, but
-    with per-tile weights selected through the lookup table.
+    One base GEMM covers every row.  Per run of same-adapter tiles, the
+    kernel applies that adapter's dropout, down-projects with its ``A``, and
+    adds its scaled up-projection -- kernels 1-2 of Figure 10, with the
+    weights selected through the lookup table.
 
     Args:
         x: Packed input of shape ``(M, k)`` with ``M = batch.total_tokens``.
         w: Shared frozen base weight ``(k, n)``.
         adapters: Mapping from adapter id to weights.
         batch: Tile routing descriptor.
-        rng: Generator for dropout masks (per-tile, per-adapter rate).
+        rng: Generator for dropout masks (per-run, per-adapter rate).
         mask: Optional pre-sampled full ``(M, k)`` keep mask.
 
     Returns:
@@ -240,9 +257,9 @@ def fused_multi_lora_forward(
             f"input rows {m} != batch tokens {batch.total_tokens}"
         )
     max_rank = _check_adapters(adapters, batch, k)
-    n = w.shape[1]
 
-    y = np.empty((m, n), dtype=x.dtype)
+    # Shared base GEMM; padding rows keep exactly this output.
+    y = (x @ w).astype(x.dtype, copy=False)
     x_hat = np.zeros_like(x)
     s = np.zeros((m, max_rank), dtype=x.dtype)
     full_mask: np.ndarray | None = mask
@@ -254,27 +271,22 @@ def fused_multi_lora_forward(
             raise KernelConfigError("dropout > 0 requires an rng or explicit mask")
         full_mask = np.ones((m, k), dtype=bool)
 
-    for tile, adapter_id in enumerate(batch.tile_table):
-        lo, hi = batch.tile_bounds(tile)
-        x_tile = x[lo:hi]
-        if adapter_id == PAD_ADAPTER_ID:
-            y[lo:hi] = x_tile @ w
-            continue
+    for adapter_id, lo, hi in batch.runs:
         weights = adapters[adapter_id]
         cfg = weights.config
-        keep_prob = 1.0 - cfg.dropout
-        if mask is not None:
-            tile_mask = mask[lo:hi] if cfg.dropout > 0.0 else None
-        elif cfg.dropout > 0.0:
-            tile_mask = dropout_mask(x_tile.shape, cfg.dropout, rng)
-            full_mask[lo:hi] = tile_mask
+        x_run = x[lo:hi]
+        if cfg.dropout == 0.0:
+            run_mask = None
+        elif mask is not None:
+            run_mask = mask[lo:hi]
         else:
-            tile_mask = None
-        xh_tile = apply_dropout(x_tile, tile_mask, keep_prob)
-        s_tile = xh_tile @ weights.a
-        x_hat[lo:hi] = xh_tile
-        s[lo:hi, : cfg.rank] = s_tile
-        y[lo:hi] = x_tile @ w + cfg.alpha * (s_tile @ weights.b)
+            run_mask = dropout_mask(x_run.shape, cfg.dropout, rng)
+            full_mask[lo:hi] = run_mask
+        xh_run = apply_dropout(x_run, run_mask, 1.0 - cfg.dropout)
+        s_run = xh_run @ weights.a
+        x_hat[lo:hi] = xh_run
+        s[lo:hi, : cfg.rank] = s_run
+        y[lo:hi] += cfg.alpha * (s_run @ weights.b)
 
     ctx = MultiLoRAContext(x=x, x_hat=x_hat, s=s, mask=full_mask, batch=batch)
     return y, ctx
@@ -286,9 +298,9 @@ def fused_multi_lora_backward(
     adapters: dict[int, LoRAWeights],
     ctx: MultiLoRAContext,
 ) -> MultiLoRAGrads:
-    """FusedMultiLoRA backward pass with per-tile gradient routing.
+    """FusedMultiLoRA backward pass with per-run gradient routing.
 
-    Tile gradients are accumulated into per-adapter ``dA``/``dB`` buffers
+    Run gradients are accumulated into per-adapter ``dA``/``dB`` buffers
     (the real kernel uses atomics / split accumulation, which is the slight
     backward overhead the paper reports for FusedMultiLoRA).
     """
@@ -297,7 +309,8 @@ def fused_multi_lora_backward(
     if dy.shape[0] != m:
         raise KernelConfigError(f"dy rows {dy.shape[0]} != input rows {m}")
 
-    dx = np.empty((m, k), dtype=dy.dtype)
+    # Shared base GEMM of kernel 5; the LoRA epilogue is added per run.
+    dx = (dy @ w.T).astype(dy.dtype, copy=False)
     da = {
         adapter_id: np.zeros_like(adapters[adapter_id].a)
         for adapter_id in batch.adapter_ids
@@ -307,24 +320,18 @@ def fused_multi_lora_backward(
         for adapter_id in batch.adapter_ids
     }
 
-    for tile, adapter_id in enumerate(batch.tile_table):
-        lo, hi = batch.tile_bounds(tile)
-        dy_tile = dy[lo:hi]
-        if adapter_id == PAD_ADAPTER_ID:
-            dx[lo:hi] = dy_tile @ w.T
-            continue
+    for adapter_id, lo, hi in batch.runs:
         weights = adapters[adapter_id]
         cfg = weights.config
-        keep_prob = 1.0 - cfg.dropout
-        s_tile = ctx.s[lo:hi, : cfg.rank]
-        tile_mask = ctx.mask[lo:hi] if (ctx.mask is not None and cfg.dropout) else None
+        dy_run = dy[lo:hi]
+        s_run = ctx.s[lo:hi, : cfg.rank]
+        run_mask = ctx.mask[lo:hi] if (ctx.mask is not None and cfg.dropout) else None
         # Kernel 3 (fused_multi_lora_dys_dyb): dB and dS from one dY pass.
-        db[adapter_id] += cfg.alpha * (s_tile.T @ dy_tile)
-        ds_tile = cfg.alpha * (dy_tile @ weights.b.T)
+        db[adapter_id] += cfg.alpha * (s_run.T @ dy_run)
+        ds_run = cfg.alpha * (dy_run @ weights.b.T)
         # Kernel 4: dA accumulation.
-        da[adapter_id] += ctx.x_hat[lo:hi].T @ ds_tile
+        da[adapter_id] += ctx.x_hat[lo:hi].T @ ds_run
         # Kernel 5 (fused_multi_lora_dyw_dsa): dX with LoRA epilogue.
-        dx_lora = apply_dropout(ds_tile @ weights.a.T, tile_mask, keep_prob)
-        dx[lo:hi] = dy_tile @ w.T + dx_lora
+        dx[lo:hi] += apply_dropout(ds_run @ weights.a.T, run_mask, 1.0 - cfg.dropout)
 
     return MultiLoRAGrads(dx=dx, da=da, db=db)

@@ -230,7 +230,7 @@ class TinyLoRATransformer:
         self.adapters: dict[int, dict[tuple[int, str], LoRAWeights]] = {}
         self._caches: list[_LayerCache] | None = None
         self._final: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._batch: PackedBatch | None = None
+        self._batch: tuple[PackedBatch, MultiLoRABatch] | None = None
 
     # -- adapters -----------------------------------------------------------
 
@@ -253,10 +253,12 @@ class TinyLoRATransformer:
         """The adapter's parameter mapping (mutated in place by optimizers)."""
         return self.adapters[adapter_id]
 
-    def _proj_adapters(self, layer: int, name: str) -> dict[int, LoRAWeights]:
+    def _proj_adapters(
+        self, layer: int, name: str, batch: MultiLoRABatch
+    ) -> dict[int, LoRAWeights]:
         return {
-            adapter_id: params[(layer, name)]
-            for adapter_id, params in self.adapters.items()
+            adapter_id: self.adapters[adapter_id][(layer, name)]
+            for adapter_id in batch.adapter_ids
         }
 
     def _linear(
@@ -268,7 +270,8 @@ class TinyLoRATransformer:
         cache: dict[str, MultiLoRAContext],
     ) -> np.ndarray:
         y, ctx = fused_multi_lora_forward(
-            x, self.layers[layer][name], self._proj_adapters(layer, name), batch
+            x, self.layers[layer][name], self._proj_adapters(layer, name, batch),
+            batch,
         )
         cache[name] = ctx
         return y
@@ -281,9 +284,10 @@ class TinyLoRATransformer:
         cache: dict[str, MultiLoRAContext],
         grads: dict[int, dict[tuple[int, str], dict[str, np.ndarray]]],
     ) -> np.ndarray:
+        ctx = cache[name]
         out = fused_multi_lora_backward(
-            dy, self.layers[layer][name], self._proj_adapters(layer, name),
-            cache[name],
+            dy, self.layers[layer][name],
+            self._proj_adapters(layer, name, ctx.batch), ctx,
         )
         for adapter_id, da in out.da.items():
             grads[adapter_id][(layer, name)]["a"] += da
@@ -408,24 +412,26 @@ class TinyLoRATransformer:
         logits = hf @ self.lm_head
         self._caches = caches
         self._final = (x, inv_f, hf)
-        self._batch = batch
+        self._batch = (batch, multi_batch)
         return logits
 
     def backward(
         self, dlogits: np.ndarray
     ) -> dict[int, dict[tuple[int, str], dict[str, np.ndarray]]]:
-        """Backward pass; returns per-adapter gradients for ``A``/``B``."""
+        """Backward pass; returns ``A``/``B`` gradients per adapter in the batch.
+
+        Adapters absent from the batch receive no gradient and get no entry.
+        """
         if self._caches is None or self._final is None or self._batch is None:
             raise KernelConfigError("backward called before forward")
-        batch = self._batch
-        multi_batch = MultiLoRABatch(batch.segments(), block_m=1)
+        batch, multi_batch = self._batch
         cos, sin = self._rope_tables(batch)
         grads: dict[int, dict[tuple[int, str], dict[str, np.ndarray]]] = {
             adapter_id: {
                 key: {"a": np.zeros_like(weights.a), "b": np.zeros_like(weights.b)}
-                for key, weights in params.items()
+                for key, weights in self.adapters[adapter_id].items()
             }
-            for adapter_id, params in self.adapters.items()
+            for adapter_id in multi_batch.adapter_ids
         }
         x_last, inv_f, hf = self._final
         dhf = dlogits @ self.lm_head.T

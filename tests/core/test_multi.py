@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.multi as multi_mod
 from repro.core import (
     LoRAConfig,
     LoRAWeights,
@@ -18,20 +19,22 @@ from repro.core import (
     fused_multi_lora_forward,
     pack_segments,
 )
+from repro.core.lora import dropout_mask
 from repro.errors import KernelConfigError
 
 K, N = 12, 10
 BLOCK = 4
 
 
-def make_adapters(ranks=(3, 5), alphas=(0.5, 1.5), seed=0):
+def make_adapters(ranks=(3, 5), alphas=(0.5, 1.5), seed=0, dropouts=None):
     rng = np.random.default_rng(seed)
+    dropouts = dropouts or (0.0,) * len(ranks)
     adapters = {}
-    for i, (r, alpha) in enumerate(zip(ranks, alphas)):
+    for i, (r, alpha, p) in enumerate(zip(ranks, alphas, dropouts)):
         adapters[i] = LoRAWeights(
             a=rng.standard_normal((K, r)),
             b=rng.standard_normal((r, N)),
-            config=LoRAConfig(rank=r, alpha=alpha, dropout=0.0, adapter_id=i),
+            config=LoRAConfig(rank=r, alpha=alpha, dropout=p, adapter_id=i),
         )
     return adapters
 
@@ -67,6 +70,20 @@ class TestTileTable:
         assert batch.num_tiles == 4
         assert batch.adapter_ids == [2, 0]
         assert batch.tile_bounds(1) == (4, 8)
+
+    def test_runs_merge_adjacent_tiles_and_skip_padding(self):
+        batch = MultiLoRABatch(
+            [Segment(1, 4), Segment(1, 8), Segment(PAD_ADAPTER_ID, 4),
+             Segment(0, 4), Segment(1, 4)],
+            block_m=4,
+        )
+        assert batch.runs == [(1, 0, 12), (0, 16, 20), (1, 20, 24)]
+        assert batch.adapter_ids == [1, 0]
+
+    def test_empty_batch_has_no_runs(self):
+        batch = MultiLoRABatch([], block_m=4)
+        assert batch.runs == [] and batch.adapter_ids == []
+        assert batch.total_tokens == 0 and batch.num_tiles == 0
 
 
 class TestPackSegments:
@@ -208,6 +225,25 @@ class TestBackwardEquivalence:
             np.testing.assert_allclose(grads.db[aid], g_ref.db, atol=1e-12)
 
 
+# Segment layouts in tiles: adapter -1 is padding; the small id range makes
+# adjacent same-adapter segments common.
+LAYOUTS = st.lists(
+    st.tuples(st.sampled_from([PAD_ADAPTER_ID, 0, 1, 2]), st.integers(1, 5)),
+    min_size=1, max_size=6,
+)
+SPLIT_LAYOUT = [(0, 2), (0, 1), (PAD_ADAPTER_ID, 1), (1, 3), (PAD_ADAPTER_ID, 2),
+                (1, 1)]
+
+
+def _layout_batch(layout, block_m):
+    segments = [Segment(aid, tiles * block_m) for aid, tiles in layout]
+    views, offset = [], 0
+    for seg in segments:
+        views.append(slice(offset, offset + seg.length))
+        offset += seg.length
+    return MultiLoRABatch(segments, block_m=block_m), views
+
+
 class TestPropertyBased:
     @given(
         lengths=st.lists(st.integers(1, 24), min_size=1, max_size=4),
@@ -228,3 +264,103 @@ class TestPropertyBased:
         for (aid, xi), view in zip(inputs, views):
             y_ref, _ = fused_lora_forward(xi, w, adapters[aid])
             np.testing.assert_allclose(y[view], y_ref, atol=1e-9)
+
+    @given(layout=LAYOUTS, block_m=st.sampled_from([1, 4]),
+           seed=st.integers(0, 2**31 - 1))
+    @example(layout=SPLIT_LAYOUT, block_m=1, seed=0)
+    @example(layout=SPLIT_LAYOUT, block_m=4, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_forward_backward_match_per_adapter(self, layout, block_m, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((K, N))
+        adapters = make_adapters(ranks=(2, 5, 3), alphas=(0.5, 1.0, 2.0),
+                                 seed=seed)
+        batch, views = _layout_batch(layout, block_m)
+        x = rng.standard_normal((batch.total_tokens, K))
+        dy = rng.standard_normal((batch.total_tokens, N))
+
+        y, ctx = fused_multi_lora_forward(x, w, adapters, batch)
+        grads = fused_multi_lora_backward(dy, w, adapters, ctx)
+
+        assert sorted(grads.da) == sorted(batch.adapter_ids)
+        da_ref = {aid: np.zeros_like(adapters[aid].a) for aid in grads.da}
+        db_ref = {aid: np.zeros_like(adapters[aid].b) for aid in grads.db}
+        for (aid, _), view in zip(layout, views):
+            if aid == PAD_ADAPTER_ID:
+                np.testing.assert_allclose(y[view], x[view] @ w, atol=1e-9)
+                np.testing.assert_allclose(grads.dx[view], dy[view] @ w.T,
+                                           atol=1e-9)
+                continue
+            y_ref, ctx_ref = fused_lora_forward(x[view], w, adapters[aid])
+            g_ref = fused_lora_backward(dy[view], w, adapters[aid], ctx_ref)
+            np.testing.assert_allclose(y[view], y_ref, atol=1e-9)
+            np.testing.assert_allclose(grads.dx[view], g_ref.dx, atol=1e-9)
+            da_ref[aid] += g_ref.da
+            db_ref[aid] += g_ref.db
+        for aid in grads.da:
+            np.testing.assert_allclose(grads.da[aid], da_ref[aid], atol=1e-9)
+            np.testing.assert_allclose(grads.db[aid], db_ref[aid], atol=1e-9)
+
+    @given(layout=LAYOUTS, block_m=st.sampled_from([1, 4]),
+           seed=st.integers(0, 2**31 - 1))
+    @example(layout=SPLIT_LAYOUT, block_m=4, seed=2)
+    @settings(max_examples=30, deadline=None)
+    def test_rng_dropout_masks_equal_per_tile_draws(self, layout, block_m, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((K, N))
+        # Adapter 1 has no dropout: its tiles draw nothing and keep all.
+        adapters = make_adapters(ranks=(2, 5, 3), alphas=(0.5, 1.0, 2.0),
+                                 seed=seed, dropouts=(0.25, 0.0, 0.5))
+        batch, views = _layout_batch(layout, block_m)
+        x = rng.standard_normal((batch.total_tokens, K))
+        dy = rng.standard_normal((batch.total_tokens, N))
+
+        y, ctx = fused_multi_lora_forward(
+            x, w, adapters, batch, rng=np.random.default_rng(seed + 1)
+        )
+
+        replay = np.random.default_rng(seed + 1)
+        expected = np.ones(x.shape, dtype=bool)
+        for tile, aid in enumerate(batch.tile_table):
+            if aid == PAD_ADAPTER_ID or adapters[aid].config.dropout == 0.0:
+                continue
+            lo, hi = batch.tile_bounds(tile)
+            expected[lo:hi] = dropout_mask(
+                (block_m, K), adapters[aid].config.dropout, replay
+            )
+        if any(adapters[aid].config.dropout for aid in batch.adapter_ids):
+            np.testing.assert_array_equal(ctx.mask, expected)
+        else:
+            assert ctx.mask is None
+
+        grads = fused_multi_lora_backward(dy, w, adapters, ctx)
+        for (aid, _), view in zip(layout, views):
+            if aid == PAD_ADAPTER_ID:
+                continue
+            mask = ctx.mask[view] if ctx.mask is not None else None
+            y_ref, ctx_ref = fused_lora_forward(x[view], w, adapters[aid],
+                                                mask=mask)
+            g_ref = fused_lora_backward(dy[view], w, adapters[aid], ctx_ref)
+            np.testing.assert_allclose(y[view], y_ref, atol=1e-9)
+            np.testing.assert_allclose(grads.dx[view], g_ref.dx, atol=1e-9)
+
+
+class TestRunLevelWork:
+    """The kernels do one adapter pass per run, never one per tile."""
+
+    def test_one_adapter_pass_per_run(self, base_weight, monkeypatch):
+        calls = []
+        real = multi_mod.apply_dropout
+        monkeypatch.setattr(
+            multi_mod, "apply_dropout",
+            lambda *args: calls.append(args[0].shape) or real(*args),
+        )
+        adapters = make_adapters(ranks=(3,), alphas=(1.0,))
+        batch = MultiLoRABatch([Segment(0, 64)], block_m=1)
+        assert batch.num_tiles == 64 and len(batch.runs) == 1
+        x = np.random.default_rng(11).standard_normal((64, K))
+
+        y, ctx = fused_multi_lora_forward(x, base_weight, adapters, batch)
+        fused_multi_lora_backward(np.ones_like(y), base_weight, adapters, ctx)
+
+        assert calls == [(64, K), (64, K)]  # one forward + one backward pass
